@@ -19,13 +19,17 @@ model is tracked alongside the Fig 8/Fig 11 artifacts:
   action-space condenser's pre-pass, which must stay within a small
   constant of a bare propagated extension (the digest is not the
   expensive part) so condensing N candidates costs ~N extensions once —
-  and zero on warm runs, where persisted signatures skip every probe.
+  and zero on warm runs, where persisted signatures skip every probe,
+* ``incremental`` — one ``estimate_incremental`` call re-pricing that
+  extension (segment refresh plus a whole-function replay, with the
+  whole-state memo missed), which must stay below half a full
+  ``estimate_streaming`` walk.
 
 Everything lands in ``BENCH_env_ops.json`` (uploaded by CI).  Gates are
 deliberately coarse — micro-timings flake on shared runners — and pin only
 the structural claims: rollback scales with the write count (not the env
-population), and undo-log bookkeeping is not the expensive part of an
-extension.
+population), undo-log bookkeeping is not the expensive part of an
+extension, and incremental estimation beats re-walking the program.
 """
 
 import statistics
@@ -41,9 +45,6 @@ from benchmarks.common import print_table, write_bench_json
 
 MESH = Mesh({"batch": 8, "model": 4})
 
-#: Dirty-set sizes the scaling leg sweeps (values toggled per evaluation).
-_DIRTY_SIZES = (1, 2, 4, 8, 16)
-
 
 def _time_per_op(fn, repeats: int) -> float:
     start = time.perf_counter()
@@ -52,76 +53,39 @@ def _time_per_op(fn, repeats: int) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-def _fit_slope(points) -> float:
-    """Least-squares slope of ``time = slope * k + intercept``."""
-    ks = [float(k) for k, _ in points]
-    ts = [t for _, t in points]
-    n = len(points)
-    mean_k = sum(ks) / n
-    mean_t = sum(ts) / n
-    denom = sum((k - mean_k) ** 2 for k in ks)
-    return sum((k - mean_k) * (t - mean_t)
-               for k, t in zip(ks, ts)) / denom
+def _replay_leg(function, env, delta) -> dict:
+    """One ``estimate_incremental`` call per one-action extension, timed
+    against a full ``estimate_streaming`` walk of the same state.
 
-
-def _scaling_leg(num_layers: int) -> dict:
-    """Differential-evaluation time vs |dirty set| at fixed |function|.
-
-    Values are toggled between their propagated and original shardings
-    *without* re-running propagation (propagation would re-derive tiles
-    from still-tiled neighbors and turn the writes into pointer no-ops),
-    so each evaluation sees a journal of exactly ``k`` changed values.
-    Per point: median of repeats (micro-timings flake on shared runners).
+    The extension's write delta is toggled on and off, so every call
+    refreshes the segments next to the delta's values.  The estimator's
+    whole-state memo is emptied before each timed call: toggling between
+    two states would otherwise answer every call from the memo, and the
+    leg would time memo hits instead of a replay.
     """
-    tcfg = transformer.t32(num_layers=num_layers, d_model=512, num_heads=8,
-                           d_head=64, ffw_dim=2048, vocab=4096, seq_len=128,
-                           batch=16)
-    function = transformer.trace_training_step(tcfg).function
-    env = ShardingEnv(MESH)
-    propagate(function, env)
-    candidates = candidate_actions(function, env, ["batch", "model"], 12)
-    token = env.checkpoint()
-    try_apply_action(function, env, candidates[1])
-    propagate(function, env, incremental=True)
-    originals = {value: env.sharding(value)
-                 for value, _ in env.writes_since(token)}
-    env.rollback(token)
-    # (value, changed sharding) pairs that are effective writes both ways.
-    toggles = [(value, sharding)
-               for value, sharding in originals.items()
-               if sharding is not env.sharding(value)]
-    originals = {value: env.sharding(value) for value, _ in toggles}
-    assert len(toggles) >= max(_DIRTY_SIZES)
-
+    originals = {value: env.sharding(value) for value, _ in delta}
     estimator = costmodel.StreamingEstimator(function, MESH, TPU_V3)
     env.enable_journal()
     env.drain_journal()
-    estimator.estimate_incremental(env, None)  # prime the full walk once
+    estimator.estimate_incremental(env, None)  # prime every segment once
+    memo = estimator._inc._bulk_memo
+    samples = []
+    # An even count of calls leaves the env restored.
+    for i in range(20):
+        for value, sharding in (delta if i % 2 == 0 else originals.items()):
+            env.set_sharding(value, sharding)
+        memo.clear()
+        start = time.perf_counter()
+        estimator.estimate_incremental(env, env.drain_journal())
+        samples.append(time.perf_counter() - start)
     full_s = _time_per_op(
         lambda: costmodel.estimate_streaming(function, env, TPU_V3), 5)
-
-    points = {}
-    for k in _DIRTY_SIZES:
-        phase = [False]
-
-        def one_eval():
-            phase[0] = not phase[0]
-            for value, changed in toggles[:k]:
-                env.set_sharding(
-                    value, changed if phase[0] else originals[value])
-            estimator.estimate_incremental(env, env.drain_journal())
-
-        one_eval()  # warm the segments for this k before timing
-        points[k] = statistics.median(
-            _time_per_op(one_eval, 10) for _ in range(5))
-        # Leave the toggled values restored before the next size.
-        if phase[0]:
-            one_eval()
     return {
         "ops": sum(1 for _ in function.walk()),
+        # The first call of each direction resolves its segments; the
+        # median is the steady-state replay.
+        "replay_seconds": statistics.median(samples),
         "full_walk_seconds": full_s,
-        "per_eval_seconds": {str(k): points[k] for k in _DIRTY_SIZES},
-        "slope_seconds_per_dirty": _fit_slope(sorted(points.items())),
     }
 
 
@@ -192,16 +156,13 @@ def test_env_ops(benchmark):
             lambda: probe_action(function, env, candidates[1],
                                  value_index=value_index), 20)
 
-        # O(dirty) differential estimation: per-evaluation time vs the
-        # number of changed values, at two function sizes.
-        results["scaling"] = {
-            "small": _scaling_leg(num_layers=2),
-            "large": _scaling_leg(num_layers=4),
-        }
+        # Incremental estimation of the same one-action extension: a
+        # segment refresh plus a whole-function replay.
+        results["incremental"] = _replay_leg(function, env, delta)
 
     benchmark.pedantic(bench_all, rounds=1, iterations=1)
 
-    scaling = results.pop("scaling")
+    incremental = results.pop("incremental")
     print_table(
         "Env memory-model primitives (per-op cost; undo-log retraction is "
         "O(writes) bookkeeping, propagation remains the real work both "
@@ -211,23 +172,19 @@ def test_env_ops(benchmark):
          for name, seconds in results.items()],
     )
     print_table(
-        "Differential estimation scaling (per-evaluation time vs |dirty|; "
-        "the slope must track the dirty-set size, not |function|)",
-        ["leg", "ops", "k=1", f"k={max(_DIRTY_SIZES)}", "slope/dirty",
-         "full walk"],
-        [(name,
-          str(leg["ops"]),
-          f"{leg['per_eval_seconds']['1'] * 1e6:.1f}us",
-          f"{leg['per_eval_seconds'][str(max(_DIRTY_SIZES))] * 1e6:.1f}us",
-          f"{leg['slope_seconds_per_dirty'] * 1e6:.2f}us",
-          f"{leg['full_walk_seconds'] * 1e6:.1f}us")
-         for name, leg in scaling.items()],
+        "Incremental estimation of a one-action extension (segment "
+        "refresh + replay, whole-state memo missed) vs a full streaming "
+        "walk",
+        ["ops", "estimate_incremental", "full walk"],
+        [(str(incremental["ops"]),
+          f"{incremental['replay_seconds'] * 1e6:.1f}us",
+          f"{incremental['full_walk_seconds'] * 1e6:.1f}us")],
     )
     write_bench_json("env_ops", {
         "mesh": dict(MESH.axes),
         "delta_writes": len(delta),
         "per_op_seconds": results,
-        "scaling": scaling,
+        "incremental": incremental,
     })
 
     # Structural gates (coarse: micro-benchmarks on shared CI runners).
@@ -246,13 +203,8 @@ def test_env_ops(benchmark):
     # constant of the bare propagated extension it wraps.
     assert results["prune_probe"] < \
         3 * max(results["propagate_extension"], 1e-7)
-    # O(dirty) differential estimation: doubling |function| (2 -> 4
-    # layers, ~2x the ops) must not double the per-dirty-value slope —
-    # the cost per evaluation scales with the dirty set, sublinearly in
-    # the function size.  (Linear scaling would put the ratio at ~2.0.)
-    small, large = scaling["small"], scaling["large"]
-    assert large["ops"] >= 1.8 * small["ops"]
-    assert large["slope_seconds_per_dirty"] < \
-        1.6 * max(small["slope_seconds_per_dirty"], 1e-7)
-    # ... and a one-value refresh stays far below the full streaming walk.
-    assert large["per_eval_seconds"]["1"] < 0.5 * large["full_walk_seconds"]
+    # Re-estimating an extension replays memoized segments instead of
+    # re-resolving them: one real replay (whole-state memo missed) stays
+    # far below a full streaming walk of the same program.
+    assert incremental["replay_seconds"] < \
+        0.5 * incremental["full_walk_seconds"]

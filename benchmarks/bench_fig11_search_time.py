@@ -274,10 +274,10 @@ def test_fig11(benchmark):
             # pins.  This gate runs on the *widened* (tagged) action
             # space — the broader exploration shortens shared prefixes,
             # which used to narrow the undo engine's LCP-reuse edge to
-            # ~1.4x; the O(dirty) differential estimator (subtract-old/
-            # add-new over the write journal, with a compiled whole-
-            # function replay for majority-dirty evaluations) restores
-            # the >=1.5x per-rollout edge there.
+            # ~1.4x; incremental estimation (segment refresh driven by
+            # the write journal, then a compiled whole-function replay
+            # with a whole-state memo) restores the >=1.5x per-rollout
+            # edge there.
             result = mcts_search(
                 ttraced.function, env, ["batch", "model"], device=TPU_V3,
                 budget=256, rollout_depth=2, max_inputs=12, seed=0,

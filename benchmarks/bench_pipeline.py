@@ -1,17 +1,23 @@
-"""Pipeline-parallel benchmark: hybrid pipeline+tensor vs pure tensor.
+"""Pipeline-parallel benchmark: pipeline (pure and hybrid) vs pure tensor.
 
 Sweeps the pipeline stage count K over a fixed device budget D (a
 ``{stage: K, model: D/K}`` mesh) on the microbatched layer stack of
 :mod:`repro.models.pipeline` and compares against pure tensor parallelism
-over all D devices.  Three gates:
+over all D devices.  K = D is pure pipeline (tensor x1); every smaller K
+is a true hybrid (pipeline >= 2 *and* tensor >= 2).  Three gates:
 
-* **Crossover**: past some stage count N, every hybrid configuration's
-  estimated runtime is *strictly below* pure tensor's — tensor-parallel
-  all_reduces grow with the model group while the pipeline's bubble
-  ``(K-1)/(T+K-1)`` amortizes away with enough microbatches.
+* **Pure pipeline beats pure tensor**: at K = D the estimated runtime is
+  *strictly below* pure tensor's — tensor-parallel all_reduces grow with
+  the model group while the pipeline's bubble ``(K-1)/(T+K-1)``
+  amortizes away with enough microbatches.  The win must also be stable:
+  once some swept K beats pure tensor, every larger K does too.  The
+  hybrids are printed as measured and the gate does not rest on them:
+  at ``--smoke`` size they are slightly slower than pure tensor, at full
+  size they beat it.
 * **Bit-identity**: on the hybrid lowering, the materializing
   ``lower -> fuse -> estimate`` pipeline, the one-pass streaming walk, and
-  the O(dirty) differential engine agree field-exactly on every
+  the streaming walk's incremental segment replay
+  (``estimate_incremental``) agree field-exactly on every
   :class:`~repro.sim.costmodel.CostEstimate` field.
 * **Determinism**: a fixed-seed automatic search over the pipelined model
   returns identical best actions and cost on every scheduler backend and
@@ -97,7 +103,8 @@ def run_leg(cfg, tactics, mesh):
 
 
 def stage_sweep(cfg, schedule: str):
-    """Pure tensor at D devices vs hybrid {stage: K, model: D/K}."""
+    """Pure tensor at D devices vs pipeline {stage: K, model: D/K}; the
+    last row (K = D) is pure pipeline."""
     rows = []
     _, _, pure, pure_counts, pure_s = run_leg(
         cfg, [tensor_tactic("model")], Mesh({"model": DEVICES})
@@ -114,47 +121,52 @@ def stage_sweep(cfg, schedule: str):
             mesh = Mesh({"stage": k})
             tactics = [sched.pp("stage", schedule)]
         _, _, est, counts, elapsed = run_leg(cfg, tactics, mesh)
-        rows.append((f"pipe x{k} + tensor x{model}", k, est, counts,
-                     elapsed))
+        name = (f"pipe x{k} + tensor x{model}" if model > 1
+                else f"pipe x{k} (pure pipeline)")
+        rows.append((name, k, est, counts, elapsed))
         stages.append((k, est.runtime_s))
         k *= 2
     return pure, rows, stages
 
 
 def check_crossover(pure, stages):
-    """The smallest K whose hybrid beats pure tensor; every larger swept K
-    must also beat it (the win is stable past the crossover, not a fluke
-    of one configuration)."""
+    """Pure pipeline (K = D) must beat pure tensor, and the win must be
+    stable: every swept K past the smallest winning one beats it too.
+    Returns the smallest winning K and the hybrids (K < D) that win."""
+    k_max, pure_pipeline = stages[-1]
+    assert k_max == DEVICES
+    assert pure_pipeline < pure.runtime_s, (
+        "pure pipeline did not beat pure tensor "
+        f"(pipeline={pure_pipeline}, tensor={pure.runtime_s})"
+    )
     crossover = None
     for k, runtime in stages:
         if crossover is None and runtime < pure.runtime_s:
             crossover = k
         if crossover is not None:
             assert runtime < pure.runtime_s, (
-                f"hybrid at K={k} regressed above pure tensor "
+                f"K={k} regressed above pure tensor "
                 f"({runtime} >= {pure.runtime_s})"
             )
-    assert crossover is not None, (
-        "no hybrid configuration beat pure tensor "
-        f"(pure={pure.runtime_s}, hybrid={stages})"
-    )
-    return crossover
+    hybrid_wins = [k for k, runtime in stages
+                   if k < DEVICES and runtime < pure.runtime_s]
+    return crossover, hybrid_wins
 
 
 def check_bit_identity(cfg):
-    """materialized == streaming == differential, field-exact, on the
-    hybrid lowering."""
+    """materialized == streaming == incremental replay, field-exact, on
+    the hybrid lowering."""
     mesh = Mesh({"stage": 4, "model": DEVICES // 4})
     traced = pm.trace_pipeline_transformer(cfg)
     env = ShardingEnv(mesh)
     propagate(traced.function, env)
     env.enable_journal()
-    differential = costmodel.StreamingEstimator(traced.function, mesh,
-                                                TPU_V3)
+    incremental = costmodel.StreamingEstimator(traced.function, mesh,
+                                               TPU_V3)
     streaming = costmodel.StreamingEstimator(traced.function, mesh, TPU_V3)
     for tactic in (sched.pp("stage"), tensor_tactic("model")):
         tactic.apply(traced.function, env, incremental=True)
-    fast = differential.estimate_incremental(env, env.drain_journal())
+    fast = incremental.estimate_incremental(env, env.drain_journal())
     streamed = streaming.estimate(env)
     lowered = lower(traced.function, env)
     lowered = dataclasses.replace(
@@ -213,16 +225,21 @@ def main(argv=None):
     header = ["leg", "runtime_s", "compute_s", "comm_s", "AR", "wall_s"]
     for schedule in ("1f1b", "gpipe"):
         pure, rows, stages = stage_sweep(cfg, schedule)
-        crossover = check_crossover(pure, stages)
+        crossover, hybrid_wins = check_crossover(pure, stages)
         print_table(
             f"pipeline sweep ({schedule}, D={DEVICES})", header,
             [[name, f"{est.runtime_s:.3e}", f"{est.compute_s:.3e}",
               f"{est.comm_s:.3e}", counts.all_reduce, f"{elapsed:.2f}"]
              for name, _, est, counts, elapsed in rows],
         )
-        print(f"  crossover: hybrid beats pure tensor from K={crossover}")
+        print(f"  pure pipeline (K={DEVICES}, tensor x1) beats pure "
+              f"tensor; first winning K={crossover}")
+        for k, runtime in stages[:-1]:
+            print(f"  hybrid pipe x{k} + tensor x{DEVICES // k}: "
+                  f"{runtime / pure.runtime_s - 1:+.2%} vs pure tensor")
         payload["schedules"][schedule] = {
             "crossover_stages": crossover,
+            "hybrid_wins": hybrid_wins,
             "pure_tensor_runtime_s": pure.runtime_s,
             "legs": [
                 {"name": name, "stages": k, "runtime_s": est.runtime_s,
@@ -246,7 +263,7 @@ def main(argv=None):
             )
 
     payload["bit_identity"] = check_bit_identity(cfg)
-    print("  bit-identity: materialized == streaming == differential")
+    print("  bit-identity: materialized == streaming == incremental replay")
 
     budget = 8 if args.smoke else 24
     payload["backend_identity"] = check_backend_identity(args.smoke, budget)

@@ -24,8 +24,9 @@ another action kind.
 Pricing inputs (stage split, bubble fraction, point-to-point bytes) are
 static functions of the body region, computed here and cached on the body
 :class:`~repro.ir.function.Function`; the lowering injects them as
-``pipeline_*`` attrs so every cost path (materialized, streaming,
-differential) prices the same numbers.  See
+``pipeline_*`` attrs so both cost paths (materialized and streaming)
+and the streaming path's incremental segment replay price the same
+numbers.  See
 :func:`repro.sim.costmodel.loop_cost_terms` for the cost formula.
 """
 
@@ -291,8 +292,9 @@ def pipeline_schedule_attrs(op: Operation, env: ShardingEnv,
     (empty when the loop carries no marker).
 
     These are what every cost path prices from — computing them in exactly
-    one place is what keeps the materialized, streaming and differential
-    estimates bit-identical on pipelined programs.
+    one place is what keeps the materialized and streaming estimates, and
+    the incremental replay of streaming segments, bit-identical on
+    pipelined programs.
     """
     marker = pipeline_marker(env, op)
     if marker is None:

@@ -22,6 +22,9 @@ Two evaluation paths produce identical numbers:
   IR.  The automatic-partitioning search uses this path; per-op lowering
   plans are memoized on sharding signatures so an evaluation that extends a
   cached prefix re-plans only the ops whose neighborhood changed.
+  :meth:`StreamingEstimator.estimate_incremental` goes one step further
+  for a single mutable env: it refreshes the resolved segments of the ops
+  next to journaled writes and replays every segment from a compiled plan.
 
 Absolute numbers are not calibrated against real hardware (the paper makes
 the same disclaimer); *relative* comparisons between schedules are the
@@ -43,7 +46,7 @@ from repro.ir.types import TensorType
 from repro.mesh import Mesh
 from repro.sim.devices import DeviceSpec
 from repro.sim import memory as memory_mod
-from repro.sim.memory import LiveRangeLog, PeakSegmentTree, peak_live_bytes
+from repro.sim.memory import LiveRangeLog, peak_live_bytes
 from repro.spmd.collectives import is_collective
 from repro.spmd.fusion import single_axis_move
 from repro.spmd.lower import LoweredModule, Lowerer
@@ -76,66 +79,17 @@ class CostEstimate:
             )
 
 
-class ExactSum:
-    """Error-free float accumulator (Shewchuk partials, ``msum`` style).
-
-    ``add`` maintains a list of non-overlapping partials whose real-number
-    sum is *exactly* the sum of everything added so far; ``value`` rounds
-    that exact sum once with :func:`math.fsum`.  Two consequences the cost
-    model builds on:
-
-    * the reported value is independent of the order terms were added in
-      (it is the correctly-rounded true sum), and
-    * adding ``-x`` after ``x`` removes the term *exactly* — a
-      subtract-old/add-new differential update lands on the bit-identical
-      value a fresh left-to-right accumulation of the surviving terms'
-      correctly-rounded sum would produce.
-
-    Zero terms are skipped (they cannot change the exact sum), so a term
-    multiset and its nonzero subset are indistinguishable.
-    """
-
-    __slots__ = ("partials",)
-
-    def __init__(self):
-        self.partials: List[float] = []
-
-    def add(self, x: float) -> None:
-        if x == 0.0:
-            return
-        partials = self.partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        if x != 0.0:
-            partials[i:] = [x]
-        else:
-            del partials[i:]
-
-    def value(self) -> float:
-        return math.fsum(self.partials)
-
-
 class _CostAcc:
-    """The cost model's accumulator: one :class:`ExactSum` per estimate
-    field plus per-collective-opcode ``[ExactSum, count]`` cells.
+    """The cost model's accumulator: one term list per estimate field plus
+    one per collective opcode.
 
-    The ``count`` tracks dict-key *presence* separately from the summed
-    seconds: an ``all_slice`` contributes a 0.0 term (skipped by the
-    ExactSum) but must still create its ``collective_time_s`` key, and a
-    differential removal must delete the key exactly when the last
-    contributing op goes away.
-
-    Every evaluation path — materialized, streaming, differential — feeds
-    the *same term multiset* through this class, which is what makes their
-    outputs bit-identical.
+    Totals are rounded once, at :meth:`estimate`, with :func:`math.fsum`:
+    the correctly rounded sum of the term multiset, whatever order the
+    terms arrived in.  Every evaluation path — materialized, streaming,
+    incremental replay — feeds the *same term multiset*, which is what
+    makes their outputs bit-identical.  An opcode's
+    ``collective_time_s`` key exists once any term for it was added, a
+    0.0 ``all_slice`` term included.
     """
 
     __slots__ = ("denom", "flops", "compute_s", "comm_bytes", "comm_s",
@@ -143,72 +97,45 @@ class _CostAcc:
 
     def __init__(self, denom: float):
         self.denom = denom  # device.peak_flops * _COMPUTE_EFFICIENCY
-        self.flops = ExactSum()
-        self.compute_s = ExactSum()
-        self.comm_bytes = ExactSum()
-        self.comm_s = ExactSum()
-        self.coll: Dict[str, list] = {}
+        self.flops: List[float] = []
+        self.compute_s: List[float] = []
+        self.comm_bytes: List[float] = []
+        self.comm_s: List[float] = []
+        self.coll: Dict[str, List[float]] = {}
 
     def add_op_cost(self, flops: float) -> None:
-        self.flops.add(flops)
-        self.compute_s.add(flops / self.denom)
+        self.flops.append(flops)
+        self.compute_s.append(flops / self.denom)
 
     def add_coll_cost(self, opcode: str, bytes_moved: float,
                       seconds: float) -> None:
-        self.comm_bytes.add(bytes_moved)
-        self.comm_s.add(seconds)
-        cell = self.coll.get(opcode)
-        if cell is None:
-            cell = self.coll[opcode] = [ExactSum(), 0]
-        cell[0].add(seconds)
-        cell[1] += 1
+        self.comm_bytes.append(bytes_moved)
+        self.comm_s.append(seconds)
+        self.coll.setdefault(opcode, []).append(seconds)
 
-    def add_scaled(self, other: "CostEstimate", times: float) -> None:
-        """A scan body's finalized estimate, scaled by its trip count: one
-        term per field (same shape in every path)."""
-        self.flops.add(other.local_flops * times)
-        self.compute_s.add(other.compute_s * times)
-        self.comm_bytes.add(other.comm_bytes * times)
-        self.comm_s.add(other.comm_s * times)
-        for opcode, seconds in other.collective_time_s.items():
-            cell = self.coll.get(opcode)
-            if cell is None:
-                cell = self.coll[opcode] = [ExactSum(), 0]
-            cell[0].add(seconds * times)
-            cell[1] += 1
-
-    def apply(self, terms, sign: float, isign: int) -> None:
-        """Apply a flattened cost bundle (the differential path's per-unit
-        term list) with ``sign`` +1.0/-1.0; ``isign`` adjusts the
-        per-opcode presence counts."""
-        coll = self.coll
+    def apply(self, terms) -> None:
+        """Add a flattened cost bundle (see :func:`loop_cost_terms`)."""
         for term in terms:
             kind = term[0]
             if kind == "fl":
-                self.flops.add(sign * term[1])
+                self.flops.append(term[1])
             elif kind == "cp":
-                self.compute_s.add(sign * term[1])
+                self.compute_s.append(term[1])
             elif kind == "cb":
-                self.comm_bytes.add(sign * term[1])
+                self.comm_bytes.append(term[1])
             elif kind == "cs":
-                self.comm_s.add(sign * term[1])
+                self.comm_s.append(term[1])
             else:  # ("co", opcode, seconds)
-                cell = coll.get(term[1])
-                if cell is None:
-                    cell = coll[term[1]] = [ExactSum(), 0]
-                cell[0].add(sign * term[2])
-                cell[1] += isign
+                self.coll.setdefault(term[1], []).append(term[2])
 
     def estimate(self) -> CostEstimate:
         """Finalize into a :class:`CostEstimate` (runtime and peak are the
         caller's to fill in)."""
-        coll = {
-            opcode: cell[0].value()
-            for opcode, cell in self.coll.items() if cell[1] > 0
-        }
-        return CostEstimate(0.0, self.compute_s.value(), self.comm_s.value(),
-                            self.flops.value(), self.comm_bytes.value(),
-                            0.0, coll)
+        fsum = math.fsum
+        coll = {opcode: fsum(terms) for opcode, terms in self.coll.items()}
+        return CostEstimate(0.0, fsum(self.compute_s), fsum(self.comm_s),
+                            fsum(self.flops), fsum(self.comm_bytes), 0.0,
+                            coll)
 
 
 def collective_cost(opcode: str, attrs: dict, operand_bytes: float,
@@ -251,8 +178,8 @@ def loop_cost_terms(attrs: dict, body: CostEstimate, device: DeviceSpec,
                     cond: Optional[CostEstimate] = None) -> list:
     """The flattened cost-term bundle of one loop op, from its region
     estimates — the single pricing formula every evaluation path
-    (materialized, streaming, differential) feeds through
-    :meth:`_CostAcc.apply`, which is what keeps them bit-identical.
+    (materialized, streaming, incremental replay) prices loops with,
+    which is what keeps them bit-identical.
 
     Terms are ``("fl", flops)`` / ``("cp", compute_s)`` /
     ``("cb", comm_bytes)`` / ``("cs", comm_s)`` /
@@ -327,8 +254,7 @@ def _estimate_function(function: Function, mesh: Mesh,
             inner = _estimate_function(op.regions[0], mesh, device)
             cond = (_estimate_function(op.regions[1], mesh, device)
                     if len(op.regions) > 1 else None)
-            acc.apply(loop_cost_terms(op.attrs, inner, device, cond),
-                      1.0, 1)
+            acc.apply(loop_cost_terms(op.attrs, inner, device, cond))
             continue
         if is_collective(op.opcode):
             bytes_moved, seconds = _collective_cost(op, mesh, device)
@@ -675,7 +601,6 @@ class CostSink:
         self._acc.apply(
             loop_cost_terms(attrs, body.estimate, self.device,
                             cond.estimate if cond is not None else None),
-            1.0, 1,
         )
         extra = memory_mod.loop_extra_bytes(
             attrs, body.peak_bytes, body.params_bytes
@@ -984,31 +909,33 @@ class StreamingEstimator:
 
     def estimate_incremental(self, env, changed_values=None,
                              overlap: bool = True) -> CostEstimate:
-        """Exact re-estimation of one *mutable* env in O(changed ops).
+        """Exact re-estimation of one *mutable* env by segment replay.
 
         Built for the undo-log rollout evaluator: the caller owns a single
         env it extends and retracts in place (``checkpoint``/``rollback``)
         and passes the env's drained write journal as ``changed_values``.
         Only ops adjacent to a changed value refresh their cached
         *resolved segment* (plan + reconcile-chain entries + live-range
-        records, keyed by the interned ids of the adjacent shardings);
-        every op then *replays* its current segment into fresh
-        accumulators, which is bit-identical to the full streaming walk —
-        same floating-point additions in the same order, same live-range
-        log — at a fraction of the per-op cost.
+        records, keyed by the interned ids of the adjacent shardings).
+        Then every op's current segment is replayed from a compiled plan
+        into fresh term lists and a fresh live-range log — the full
+        streaming walk's term multiset and record sequence, so the result
+        is bit-identical to it at a fraction of the per-op cost.  A whole
+        env state that was priced before is answered without replaying
+        from a whole-state memo (cleared wholesale at 1024 states).
 
-        ``changed_values=None`` forces a full rebuild (always the case on
-        the first call for an env).  Requires the reconcile-chain cache;
-        falls back to :meth:`estimate` when it is disabled.
+        ``changed_values=None`` refreshes every segment (always the case
+        on the first call for an env).  With the reconcile-chain cache
+        disabled, the call is a plain :meth:`estimate` walk.
 
         A non-None ``changed_values`` is only trusted when the env's
         journal actually covers every write since this estimator last
         synced with the env (checked against the monotone
         ``env.write_serial`` and the drain window): if the journal was
         never enabled, was drained by another party mid-search, or the env
-        moved after the drain, the integrated state silently missing those
-        writes would reuse stale segments — so the call falls back to the
-        exact full-rebuild path instead.
+        moved after the drain, refreshing only the journaled values would
+        reuse segments those writes invalidated — so the call refreshes
+        every segment instead.
         """
         if self._chains is None:
             return self.estimate(env, overlap=overlap)
@@ -1046,11 +973,9 @@ class StreamingEstimator:
 
 class _UnitState:
     """Per-top-level-op incremental state: the values whose shardings key
-    the unit's behavior, the memo of resolved segments, and the segment
-    currently in force."""
+    the unit's behavior and the memo of resolved segments."""
 
-    __slots__ = ("op", "is_loop", "is_tag", "sig_values", "segments",
-                 "segment")
+    __slots__ = ("op", "is_loop", "is_tag", "sig_values", "segments")
 
     def __init__(self, op, is_loop: bool, sig_values: tuple):
         self.op = op
@@ -1058,7 +983,6 @@ class _UnitState:
         self.is_tag = op.opcode == "tag"
         self.sig_values = sig_values
         self.segments: Dict[tuple, tuple] = {}
-        self.segment: Optional[tuple] = None
 
 
 class _IncrementalEstimate:
@@ -1076,10 +1000,11 @@ class _IncrementalEstimate:
       the op plan, and the trailing-slice sizes.  Segments are memoized
       per signature, so toggling between explored search branches re-hits
       old segments instead of re-resolving.
-    * **replay** (every op, in program order): apply the segment's exact
-      cost increments and live-range records to fresh accumulators.  The
-      increment sequence is identical to the full walk's — floating-point
-      addition order included — so results are bit-identical.
+    * **replay** (every op, in program order, see :meth:`_bulk_replay`):
+      collect each segment's cost terms and live-range records into fresh
+      term lists and a fresh log.  The term multiset is the full walk's
+      and each total is rounded once with ``math.fsum``, so results are
+      bit-identical.
 
     Cross-op couplings are re-established per replay, exactly as the full
     walk does per evaluation: pending reductions deduplicate through a
@@ -1107,52 +1032,7 @@ class _IncrementalEstimate:
         self._results_segments: Dict[tuple, tuple] = {}
         self._results_segment: Optional[tuple] = None
         self._build_units()
-        # -- differential state (see the "differential integration" section):
-        # positions 0 (params), 1..N (top-level ops), N+1 (results).
-        count = len(self._units) + 2
-        self._pos_count = count
-        self._pos_results = count - 1
-        self._recs: List[tuple] = [()] * count
-        self._bundles: List[tuple] = [()] * count
-        self._rops: List[tuple] = [()] * count
-        self._deps_val: List[frozenset] = [frozenset()] * count
-        self._deps_key: List[frozenset] = [frozenset()] * count
-        self._unit_keys: List[dict] = [{}] * count
-        self._unit_dids: List[list] = [[] for _ in range(count)]
-        self._unit_exports: List[dict] = [{}] * count
-        self._unit_finals: List[dict] = [{}] * count
-        self._uses_by: List[dict] = [{}] * count
-        self._frees: List[dict] = [dict() for _ in range(count)]
-        self._exports: Dict[object, tuple] = {}
-        self._finals: Dict[tuple, tuple] = {}
-        self._val_consumers: Dict[object, set] = {}
-        self._key_consumers: Dict[tuple, set] = {}
-        self._key_sites: Dict[tuple, dict] = {}
-        self._key_owner: Dict[tuple, tuple] = {}
-        self._uses: Dict[int, dict] = {}
-        self._last_use: Dict[int, tuple] = {}
-        self._def_nbytes: Dict[int, int] = {}
-        self._def_pos: Dict[int, tuple] = {}
-        self._parent: Dict[int, int] = {}
-        self._children: Dict[int, set] = {}
-        self._free_pos: Dict[int, tuple] = {}
-        self._out_refs: tuple = ()
-        self._out_handles: tuple = ()
-        self._out_roots: set = set()
-        self._out_member: set = set()
-        self._acc = _CostAcc(self.device.peak_flops * _COMPUTE_EFFICIENCY)
-        self._tree = PeakSegmentTree(count)
-        self._did_counter = itertools.count()
         self._primed = False
-        #: Units whose current segment the differential state does not yet
-        #: reflect (accumulated across bulk-replay evaluations; integrated
-        #: in one catch-up pass before the next differential answer).
-        self._stale_units: set = set()
-        #: index -> segment object the differential state last integrated,
-        #: so A -> B -> A round-trips (rollback-heavy searches revisit
-        #: states constantly) drop out of the backlog as no-ops.
-        self._synced_segments: Dict[int, tuple] = {}
-        self._diff_primed = False
         #: value -> sharding iid its adjacent units' segments reflect.  A
         #: journaled write whose value is back on the recorded sharding
         #: (rollback + re-extension along a shared prefix lands most
@@ -1173,7 +1053,7 @@ class _IncrementalEstimate:
         #: outright.  Bounded: cleared wholesale when it grows past 1024
         #: states (keys hold one id per unit, so entries are not free).
         self._bulk_memo: Dict[tuple, tuple] = {}
-        #: Env write serial the integrated state reflects (see
+        #: Env write serial the refreshed segments reflect (see
         #: :meth:`StreamingEstimator.estimate_incremental`'s coverage gate).
         self.synced_serial = -1
 
@@ -1228,6 +1108,8 @@ class _IncrementalEstimate:
     # -- refresh ------------------------------------------------------------
 
     def run(self, changed_values, overlap: bool) -> CostEstimate:
+        """Refresh the dirty units' segments, then replay every segment
+        (:meth:`_bulk_replay`)."""
         units = self._units
         sharding = self.env.sharding
         # Direct delta probe with sharding() as the overlay-chain fallback:
@@ -1235,8 +1117,7 @@ class _IncrementalEstimate:
         # the undo engine's env stores (nearly) every value in its own
         # delta, so the method-call frame is pure overhead on the hit path.
         delta_get = self.env._delta.get
-        force = not self._primed or changed_values is None
-        if force:
+        if not self._primed or changed_values is None:
             self._primed = True
             dirty = set(range(len(units)))
             dirty.add(self._PARAMS)
@@ -1262,23 +1143,15 @@ class _IncrementalEstimate:
                     dirty.add(index)
         # Refresh inline: this loop runs for every dirty op on every
         # evaluation, so the common hit path (sig rebuild -> memo get) is
-        # kept free of method-call overhead.  A segment that resolves to
-        # the identical memo entry leaves the integrated state untouched.
+        # kept free of method-call overhead.
         estimator = self.estimator
         current = self._current
-        changed_units = []
         for index in dirty:
-            if index < 0:
-                if index == self._PARAMS:
-                    old = self._params_segment
-                    self._refresh_params()
-                    if force or self._params_segment is not old:
-                        changed_units.append(index)
-                else:
-                    old = self._results_segment
-                    self._refresh_results()
-                    if force or self._results_segment is not old:
-                        changed_units.append(index)
+            if index == self._PARAMS:
+                self._refresh_params()
+                continue
+            if index == self._RESULTS:
+                self._refresh_results()
                 continue
             unit = units[index]
             sig = tuple([
@@ -1301,73 +1174,29 @@ class _IncrementalEstimate:
                 segments[sig] = segment
             else:
                 estimator.ops_reused += 1
-            unit.segment = segment
-            if force or segment is not current[index]:
-                changed_units.append(index)
             current[index] = segment
-        # -- mode pick: the differential bookkeeping (registry diffs,
-        # position resolution, segment-tree updates) has a per-unit
-        # constant far above a plain segment replay, so it only wins when
-        # the *effective* backlog — segments the integrated state has not
-        # seen, after dropping A -> B -> A round-trips — is a small slice
-        # of the function.  Above the threshold the whole-function replay
-        # is cheaper; the integrated state is left stale and the backlog
-        # is carried forward for the next small-delta evaluation.
-        stale = self._stale_units
-        stale.update(changed_units)
-        synced = self._synced_segments
-        effective = []
-        for index in stale:
-            if index == self._PARAMS:
-                segment = self._params_segment
-            elif index == self._RESULTS:
-                segment = self._results_segment
-            else:
-                segment = current[index]
-            if segment is not synced.get(index):
-                effective.append(index)
-        if self._diff_primed and len(effective) * 4 > self._pos_count:
-            return self._bulk_replay(overlap)
-        if effective:
-            self._integrate(effective)
-            for index in effective:
-                if index == self._PARAMS:
-                    synced[index] = self._params_segment
-                elif index == self._RESULTS:
-                    synced[index] = self._results_segment
-                else:
-                    synced[index] = current[index]
-        stale.clear()
-        self._diff_primed = True
-        est = self._acc.estimate()
-        est.runtime_s = (max(est.compute_s, est.comm_s) if overlap
-                         else est.compute_s + est.comm_s)
-        est.peak_memory_bytes = self._tree.peak()
-        return est
+        return self._bulk_replay(overlap)
 
     def _bulk_replay(self, overlap: bool) -> CostEstimate:
         """Whole-function replay over the memoized segments.
 
-        Fallback for evaluations that re-shard most of the function (deep
-        rollouts on the widened action space routinely dirty the majority
-        of values).  Each segment instance is compiled once into a replay
-        plan carrying *stable* uids: def pairs, chain records past the
-        first hop, trailing-slice records and the per-segment cost terms
-        are pre-built tuples, so a replay is mostly ``list.extend`` calls
-        — only the operand-uid tuples (which depend on which segments
+        Each segment instance is compiled once into a replay plan carrying
+        *stable* uids: def pairs, chain records past the first hop,
+        trailing-slice records and the per-segment cost terms are
+        pre-built tuples, so a replay is mostly ``list.extend`` calls —
+        only the operand-uid tuples (which depend on which segments
         produced the operands *this* evaluation) are rebuilt.  Stable,
         sparse uids are safe: :meth:`LiveRangeLog.peak_bytes` keys every
         table by uid and never assumes density, and record *order* (which
-        the peak walk does depend on) is byte-for-byte the sequential
-        replay's.  Plans key on ``id(segment)`` and pin the segment, so
-        ids cannot be recycled underneath the cache.
+        the peak walk does depend on) is byte-for-byte the streaming
+        walk's.  Plans key on ``id(segment)`` and pin the segment, so ids
+        cannot be recycled underneath the cache.
 
-        The cost terms feed ``math.fsum`` — the correctly-rounded true
-        sum of the term multiset, i.e. the very float the differential
-        path's ``ExactSum.value()`` reports — so the result stays
-        bit-identical to the streaming and materializing pipelines.  The
-        integrated differential state is deliberately left stale; ``run``
-        carries the debt in ``_stale_units``.
+        The cost terms feed ``math.fsum`` — the correctly-rounded sum of
+        the term multiset, the same float :class:`_CostAcc` reports for
+        the streaming and materializing pipelines — so the result is
+        bit-identical to theirs.  A whole state seen before is answered
+        from the memo without replaying; every caller gets a fresh copy.
         """
         estimator = self.estimator
         # Whole-state fingerprint: segments are memoized per signature, so
@@ -1530,7 +1359,7 @@ class _IncrementalEstimate:
             memo.clear()
         memo[memo_key] = (est, site_hits)
         # The memoized instance stays pristine; callers get a copy (the
-        # estimate type mutates in place via ``add``).
+        # estimate type mutates in place via ``merge_scaled``).
         return CostEstimate(
             est.runtime_s, est.compute_s, est.comm_s, est.local_flops,
             est.comm_bytes, est.peak_memory_bytes,
@@ -1868,549 +1697,6 @@ class _IncrementalEstimate:
                                                     required, set()),
             )
         return (entry, None)
-
-    # -- differential integration -------------------------------------------
-    #
-    # The per-evaluation O(|function|) replay is replaced by subtract-old/
-    # add-new integration over the changed units only:
-    #
-    # * every unit's current segment is compiled into *records* — the exact
-    #   live-range rows its replay would append, with symbolic operand
-    #   references — and a *cost bundle*, the exact estimate terms it would
-    #   add.  Bundles feed a persistent error-free accumulator
-    #   (:class:`_CostAcc`): removing the stale bundle and adding the new
-    #   one lands on the bit-identical correctly-rounded totals a full walk
-    #   over the current segments would produce, because every path sums
-    #   the same term multiset exactly.
-    # * peak memory is maintained per unit as an integer (net, max-prefix)
-    #   profile over the unit's records; cross-unit lifetimes enter through
-    #   free events placed at each storage root's class-wide last use, and
-    #   a :class:`~repro.sim.memory.PeakSegmentTree` combines the profiles
-    #   into the global peak in O(log n) per dirty unit.  All-integer, so
-    #   the result equals the reference :meth:`LiveRangeLog.peak_bytes`
-    #   walk exactly.
-    #
-    # Symbolic operand references are ``("v", value)`` — the handle
-    # exported for a program value, ``("k", reduce_key)`` — the
-    # deduplicated pending-reduction owner's final handle, or
-    # ``("d", def_id)`` — a unit-local definition.  Resolution follows
-    # export/final indirections, registering every traversed value/key as
-    # a dependency, so a unit re-resolves exactly when a handle it
-    # consumes actually changed.
-
-    def _pos_of(self, index: int) -> int:
-        if index == self._PARAMS:
-            return 0
-        if index == self._RESULTS:
-            return self._pos_results
-        return index + 1
-
-    def _segment_sites(self, pos: int) -> tuple:
-        if pos == self._pos_results:
-            return self._results_segment
-        segment = self._current[pos - 1]
-        tag = segment[0]
-        if tag == "op" or tag == "loop":
-            return segment[1]
-        return ()
-
-    def _integrate(self, changed_units) -> None:
-        changed = {self._pos_of(index) for index in changed_units}
-        # Phase 1: the pending-reduction dedup registry.  Ownership — which
-        # site materializes a deduplicated reduction, exactly the first one
-        # in replay order — is the one cross-unit coupling that changes
-        # *records*, so an owner flip forces a rebuild of both ends.
-        key_sites = self._key_sites
-        keys_touched = set()
-        for pos in changed:
-            new_keys: Dict[tuple, int] = {}
-            if pos:
-                for ordinal, site in enumerate(self._segment_sites(pos)):
-                    rkey = site[2]
-                    if rkey is not None and rkey not in new_keys:
-                        new_keys[rkey] = ordinal
-            old_keys = self._unit_keys[pos]
-            if new_keys != old_keys:
-                for rkey, ordinal in old_keys.items():
-                    if new_keys.get(rkey) != ordinal:
-                        if rkey not in new_keys:
-                            sites = key_sites.get(rkey)
-                            if sites is not None:
-                                sites.pop(pos, None)
-                        keys_touched.add(rkey)
-                for rkey, ordinal in new_keys.items():
-                    if old_keys.get(rkey) != ordinal:
-                        key_sites.setdefault(rkey, {})[pos] = ordinal
-                        keys_touched.add(rkey)
-                self._unit_keys[pos] = new_keys
-        rebuild = set(changed)
-        key_owner = self._key_owner
-        for rkey in keys_touched:
-            sites = key_sites.get(rkey)
-            if not sites:
-                key_sites.pop(rkey, None)
-                key_owner.pop(rkey, None)
-                self._finals.pop(rkey, None)
-                continue
-            owner = min(sites.items())
-            old_owner = key_owner.get(rkey)
-            if owner != old_owner:
-                key_owner[rkey] = owner
-                if old_owner is not None:
-                    rebuild.add(old_owner[0])
-                rebuild.add(owner[0])
-        # Phase 2: rebuild records/bundles/exports for the rebuild set.
-        touched_vals: set = set()
-        touched_keys: set = set()
-        removed: set = set()
-        dirty_defs: set = set()
-        profile_dirty: set = set()
-        out_dirty = False
-        for pos in rebuild:
-            self._build_pos(pos, touched_vals, touched_keys, removed,
-                            dirty_defs, profile_dirty)
-        # Phase 3: units whose records survive but whose resolved operand
-        # handles changed.
-        resolve = set(rebuild)
-        val_consumers = self._val_consumers
-        for value in touched_vals:
-            consumers = val_consumers.get(value)
-            if consumers:
-                resolve |= consumers
-        key_consumers = self._key_consumers
-        for rkey in touched_keys:
-            consumers = key_consumers.get(rkey)
-            if consumers:
-                resolve |= consumers
-        # Phase 4: resolution — uses, alias edges, definition positions.
-        for pos in resolve:
-            if self._resolve_pos(pos, dirty_defs, profile_dirty):
-                out_dirty = True
-        # Phase 5: retired definitions.  A consumer can only reference a
-        # retired definition through an export/final that changed, so every
-        # live reference was just re-resolved; what's left is registry
-        # cleanup.
-        for did in removed:
-            self._def_nbytes.pop(did, None)
-            self._def_pos.pop(did, None)
-            self._uses.pop(did, None)
-            self._last_use.pop(did, None)
-            self._drop_free(did, profile_dirty)
-            parent = self._parent.pop(did, None)
-            if parent is not None:
-                siblings = self._children.get(parent)
-                if siblings:
-                    siblings.discard(did)
-                dirty_defs.add(parent)
-            self._children.pop(did, None)
-            if did in self._out_member:
-                out_dirty = True
-        # Phase 6: output storage roots (never freed, never dead-on-
-        # arrival).  Recomputed only when the results resolution or an
-        # alias edge on an output path moved.
-        if out_dirty:
-            self._recompute_out(dirty_defs, profile_dirty)
-        # Phase 7: free events for every storage class that moved.
-        self._update_frees(dirty_defs, removed, profile_dirty)
-        # Phase 8: per-unit profiles into the peak segment tree.
-        for pos in profile_dirty:
-            self._recompute_profile(pos)
-
-    def _build_pos(self, pos, touched_vals, touched_keys, removed,
-                   dirty_defs, profile_dirty) -> None:
-        denom = self._acc.denom
-        reuse = iter(self._unit_dids[pos])
-        new_dids: list = []
-        def_nbytes = self._def_nbytes
-        did_counter = self._did_counter
-
-        def mk_def(nbytes: int) -> int:
-            # Stable definition ids: reusing the unit's previous ids keeps
-            # every registry entry (uses, alias edges, free events) valid
-            # across a rebuild, so consumers are touched only when an
-            # export genuinely moves.
-            did = next(reuse, None)
-            if did is None:
-                did = next(did_counter)
-                def_nbytes[did] = nbytes
-                dirty_defs.add(did)
-            elif def_nbytes[did] != nbytes:
-                def_nbytes[did] = nbytes
-                dirty_defs.add(did)
-            new_dids.append(did)
-            return did
-
-        recs: list = []
-        bundle: list = []
-        exports: dict = {}
-        finals: dict = {}
-        key_owner = self._key_owner
-
-        def emit_chain(entry, handle):
-            for step in entry.steps:
-                did = mk_def(step.nbytes)
-                recs.append(((handle,), ((did, step.nbytes),),
-                             step.alias, 0))
-                if step.is_collective:
-                    bundle.append(("cb", step.bytes_moved))
-                    bundle.append(("cs", step.seconds))
-                    bundle.append(("co", step.opcode, step.seconds))
-                else:
-                    bundle.append(("fl", step.flops))
-                    bundle.append(("cp", step.flops / denom))
-                handle = ("d", did)
-            return handle
-
-        def emit_site(site, ordinal):
-            value, entry, rkey = site
-            if rkey is not None and key_owner.get(rkey) != (pos, ordinal):
-                return ("k", rkey)
-            handle = emit_chain(entry, ("v", value))
-            if rkey is not None:
-                finals[rkey] = handle
-            return handle
-
-        if pos == 0:
-            for param, nbytes in self._params_segment:
-                did = mk_def(nbytes)
-                recs.append(((), ((did, nbytes),), False, 0))
-                exports[param] = ("d", did)
-        elif pos == self._pos_results:
-            self._out_refs = tuple(
-                emit_site(site, ordinal)
-                for ordinal, site in enumerate(self._results_segment)
-            )
-        else:
-            segment = self._current[pos - 1]
-            tag = segment[0]
-            if tag == "alias":
-                exports[segment[2]] = ("v", segment[1])
-            elif tag == "op0":
-                _, values, flops, result_nbytes, results, alias = segment
-                defs = tuple(
-                    (mk_def(nbytes), nbytes) for nbytes in result_nbytes
-                )
-                recs.append((tuple(("v", value) for value in values),
-                             defs, alias, 0))
-                bundle.append(("fl", flops))
-                bundle.append(("cp", flops / denom))
-                for r, result in enumerate(results):
-                    exports[result] = ("d", defs[r][0])
-            elif tag == "op":
-                (_, sites, flops, result_nbytes, results, alias,
-                 trailing) = segment
-                operand_refs = tuple(
-                    emit_site(site, ordinal)
-                    for ordinal, site in enumerate(sites)
-                )
-                defs = tuple(
-                    (mk_def(nbytes), nbytes) for nbytes in result_nbytes
-                )
-                recs.append((operand_refs, defs, alias, 0))
-                bundle.append(("fl", flops))
-                bundle.append(("cp", flops / denom))
-                for r, result in enumerate(results):
-                    handle = ("d", defs[r][0])
-                    sliced_nbytes = trailing[r]
-                    if sliced_nbytes is not None:
-                        did = mk_def(sliced_nbytes)
-                        recs.append(((handle,), ((did, sliced_nbytes),),
-                                     False, 0))
-                        bundle.append(("co", "all_slice", 0.0))
-                        handle = ("d", did)
-                    exports[result] = handle
-            else:  # loop
-                (_, sites, terms, carry_nbytes, results,
-                 tail_sites, extra, _num_carries) = segment
-                operand_refs = tuple(
-                    emit_site(site, ordinal)
-                    for ordinal, site in enumerate(sites)
-                )
-                defs = tuple(
-                    (mk_def(nbytes), nbytes) for nbytes in carry_nbytes
-                )
-                recs.append((operand_refs, defs, False, extra))
-                bundle.extend(terms)
-                for i, result in enumerate(results):
-                    exports[result] = ("d", defs[i][0])
-                for tail in tail_sites:
-                    index, entry = tail[0], tail[1]
-                    exports[results[index]] = emit_chain(
-                        entry, exports[results[index]]
-                    )
-
-        for did in reuse:
-            removed.add(did)
-        self._unit_dids[pos] = new_dids
-        # Export/final diffs drive the touched set: a consumer re-resolves
-        # exactly when a handle it reads maps to a different target.
-        global_exports = self._exports
-        old_exports = self._unit_exports[pos]
-        for value, ref in exports.items():
-            if old_exports.get(value) != ref:
-                touched_vals.add(value)
-                global_exports[value] = ref
-        self._unit_exports[pos] = exports
-        global_finals = self._finals
-        old_finals = self._unit_finals[pos]
-        for rkey, ref in finals.items():
-            if old_finals.get(rkey) != ref:
-                touched_keys.add(rkey)
-            global_finals[rkey] = ref
-        self._unit_finals[pos] = finals
-        acc = self._acc
-        acc.apply(self._bundles[pos], -1.0, -1)
-        new_bundle = tuple(bundle)
-        acc.apply(new_bundle, 1.0, 1)
-        self._bundles[pos] = new_bundle
-        self._recs[pos] = tuple(recs)
-        profile_dirty.add(pos)
-
-    def _resolve_pos(self, pos, dirty_defs, profile_dirty) -> bool:
-        out_dirty = False
-        uses = self._uses
-        lu_dirty = set()
-        for did in self._uses_by[pos]:
-            entry = uses.get(did)
-            if entry is not None and entry.pop(pos, None) is not None:
-                lu_dirty.add(did)
-        exports = self._exports
-        finals = self._finals
-        parent = self._parent
-        children = self._children
-        out_member = self._out_member
-        def_pos = self._def_pos
-        new_uses: dict = {}
-        deps_val: set = set()
-        deps_key: set = set()
-        rops: list = []
-
-        def resolve(ref):
-            while True:
-                kind = ref[0]
-                if kind == "d":
-                    return ref[1]
-                if kind == "v":
-                    deps_val.add(ref[1])
-                    ref = exports[ref[1]]
-                else:
-                    deps_key.add(ref[1])
-                    ref = finals[ref[1]]
-
-        for ordinal, rec in enumerate(self._recs[pos]):
-            operand_refs, defs, alias, _extra = rec
-            resolved = []
-            for ref in operand_refs:
-                did = resolve(ref)
-                resolved.append(did)
-                if new_uses.get(did, -1) < ordinal:
-                    new_uses[did] = ordinal
-            rops.append(tuple(resolved))
-            if alias:
-                child = defs[0][0]
-                new_parent = resolved[0]
-                old_parent = parent.get(child)
-                if old_parent != new_parent:
-                    if old_parent is not None:
-                        siblings = children.get(old_parent)
-                        if siblings:
-                            siblings.discard(child)
-                        dirty_defs.add(old_parent)
-                    parent[child] = new_parent
-                    children.setdefault(new_parent, set()).add(child)
-                    dirty_defs.add(new_parent)
-                    dirty_defs.add(child)
-                    if (child in out_member or new_parent in out_member
-                            or old_parent in out_member):
-                        out_dirty = True
-            else:
-                for did, _nbytes in defs:
-                    old_parent = parent.pop(did, None)
-                    if old_parent is not None:
-                        siblings = children.get(old_parent)
-                        if siblings:
-                            siblings.discard(did)
-                        dirty_defs.add(old_parent)
-                        dirty_defs.add(did)
-                        if did in out_member:
-                            out_dirty = True
-            for did, _nbytes in defs:
-                def_pos[did] = (pos, ordinal)
-        self._rops[pos] = tuple(rops)
-        if pos == self._pos_results:
-            # Output handles are read, not consumed: they pin storage roots
-            # (out_roots) without extending any live range.
-            self._out_handles = tuple(
-                resolve(ref) for ref in self._out_refs
-            )
-            out_dirty = True
-        for did, max_ordinal in new_uses.items():
-            entry = uses.get(did)
-            if entry is None:
-                entry = uses[did] = {}
-            if entry.get(pos) != max_ordinal:
-                entry[pos] = max_ordinal
-            lu_dirty.add(did)
-        self._uses_by[pos] = new_uses
-        last_use = self._last_use
-        for did in lu_dirty:
-            entry = uses.get(did)
-            old = last_use.get(did)
-            new = max(entry.items()) if entry else None
-            if new != old:
-                if new is None:
-                    last_use.pop(did, None)
-                else:
-                    last_use[did] = new
-                dirty_defs.add(did)
-                if (old is None) != (new is None):
-                    # Dead-on-arrival status flipped at the definition.
-                    defined_at = def_pos.get(did)
-                    if defined_at is not None:
-                        profile_dirty.add(defined_at[0])
-        old_vals = self._deps_val[pos]
-        if deps_val != old_vals:
-            val_consumers = self._val_consumers
-            for value in old_vals - deps_val:
-                consumers = val_consumers.get(value)
-                if consumers:
-                    consumers.discard(pos)
-            for value in deps_val - old_vals:
-                val_consumers.setdefault(value, set()).add(pos)
-            self._deps_val[pos] = frozenset(deps_val)
-        old_keys = self._deps_key[pos]
-        if deps_key != old_keys:
-            key_consumers = self._key_consumers
-            for rkey in old_keys - deps_key:
-                consumers = key_consumers.get(rkey)
-                if consumers:
-                    consumers.discard(pos)
-            for rkey in deps_key - old_keys:
-                key_consumers.setdefault(rkey, set()).add(pos)
-            self._deps_key[pos] = frozenset(deps_key)
-        return out_dirty
-
-    def _recompute_out(self, dirty_defs, profile_dirty) -> None:
-        parent = self._parent
-        new_roots = set()
-        member = set()
-        for did in self._out_handles:
-            node = did
-            while True:
-                member.add(node)
-                up = parent.get(node)
-                if up is None:
-                    break
-                node = up
-            new_roots.add(node)
-        old_roots = self._out_roots
-        if new_roots != old_roots:
-            def_pos = self._def_pos
-            for did in new_roots ^ old_roots:
-                dirty_defs.add(did)
-                defined_at = def_pos.get(did)
-                if defined_at is not None:
-                    profile_dirty.add(defined_at[0])
-            self._out_roots = new_roots
-        self._out_member = member
-
-    def _update_frees(self, dirty_defs, removed, profile_dirty) -> None:
-        parent = self._parent
-        def_nbytes = self._def_nbytes
-        roots = set()
-        for did in dirty_defs:
-            if did in removed or did not in def_nbytes:
-                continue
-            if parent.get(did) is not None:
-                # Not (or no longer) a storage root: an ex-root sheds its
-                # free event, and its class re-checks at the actual root.
-                self._drop_free(did, profile_dirty)
-                node = did
-                while parent.get(node) is not None:
-                    node = parent[node]
-                roots.add(node)
-            else:
-                roots.add(did)
-        out_roots = self._out_roots
-        last_use = self._last_use
-        children = self._children
-        frees = self._frees
-        free_pos = self._free_pos
-        for root in roots:
-            if root in removed or root not in def_nbytes:
-                continue
-            if root in out_roots:
-                self._drop_free(root, profile_dirty)
-                continue
-            # Class-wide last use: aliases extend their root's lifetime.
-            best = None
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                when = last_use.get(node)
-                if when is not None and (best is None or when > best):
-                    best = when
-                kids = children.get(node)
-                if kids:
-                    stack.extend(kids)
-            if best is None:
-                self._drop_free(root, profile_dirty)
-                continue
-            size = def_nbytes[root]
-            event = (best[0], best[1], size)
-            if free_pos.get(root) != event:
-                self._drop_free(root, profile_dirty)
-                free_pos[root] = event
-                frees[best[0]].setdefault(best[1], []).append((root, size))
-                profile_dirty.add(best[0])
-
-    def _drop_free(self, root, profile_dirty) -> None:
-        event = self._free_pos.pop(root, None)
-        if event is None:
-            return
-        pos, ordinal, size = event
-        bucket = self._frees[pos].get(ordinal)
-        if bucket is not None:
-            try:
-                bucket.remove((root, size))
-            except ValueError:
-                pass
-            if not bucket:
-                del self._frees[pos][ordinal]
-        profile_dirty.add(pos)
-
-    def _recompute_profile(self, pos) -> None:
-        # The reference walk's exact per-record discipline: allocate
-        # non-alias definitions, sample the peak (with a scan body's
-        # transient spike riding on top), apply this record's free events,
-        # then drop dead-on-arrival results.  Parameters stay live unless
-        # a use frees their class downstream.
-        uses = self._uses
-        out_roots = self._out_roots
-        frees = self._frees[pos]
-        running = 0
-        best = 0
-        skip_doa = pos == 0
-        for ordinal, rec in enumerate(self._recs[pos]):
-            _operand_refs, defs, alias, extra = rec
-            if not alias:
-                for _did, nbytes in defs:
-                    running += nbytes
-                if extra:
-                    transient = running + extra
-                    if transient > best:
-                        best = transient
-                if running > best:
-                    best = running
-            bucket = frees.get(ordinal)
-            if bucket:
-                for _root, size in bucket:
-                    running -= size
-            if not alias and not skip_doa:
-                for did, nbytes in defs:
-                    if not uses.get(did) and did not in out_roots:
-                        running -= nbytes
-        self._tree.update(pos, running, best)
 
 
 def estimate_streaming(function: Function, env, device: DeviceSpec,

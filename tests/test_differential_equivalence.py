@@ -1,23 +1,26 @@
-"""Differential-vs-streaming-vs-materialized bit-identity (PR 6 pin).
+"""Incremental-vs-streaming-vs-materialized bit-identity.
 
-The O(dirty) differential engine (`estimate_incremental`: subtract-old /
-add-new accounting over per-op cost contributions, exact-compensated
-running totals, segment-tree peak memory) must stay **field-exact** with
-both the one-pass streaming walk (`StreamingEstimator.estimate`) and the
-classic materializing ``lower -> fuse_collectives -> estimate`` pipeline —
-not approximately, bit for bit, on every :class:`CostEstimate` field.
+`StreamingEstimator.estimate_incremental` refreshes only the segments of
+ops adjacent to journaled writes, then replays every segment from a
+compiled plan (or answers from its whole-state memo).  It must stay
+**field-exact** with both the one-pass streaming walk
+(`StreamingEstimator.estimate`) and the classic materializing
+``lower -> fuse_collectives -> estimate`` pipeline — not approximately,
+bit for bit, on every :class:`CostEstimate` field.
 
 60+ seeded rollout chains (13 seeds x 5 models: transformer, GNS, UNet,
 the interior-bottleneck ensemble and the microbatched pipeline stack —
 whose chains draw PIPELINE actions) drive checkpoint/apply/rollback
 trajectories with a *rollback-heavy* mix (~40% of steps unwind), checking
-the three-way equality after every step.  Rollbacks are where the
-differential path earns its keep — and where stale segments, missed
-journal windows, or drifting compensation terms would show up first.
+the three-way equality after every step.  Rollbacks are where stale
+segments, missed journal windows, or whole-state memo hits on a revisited
+state would show up first.
 """
 
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,8 +58,8 @@ def _cases():
         ("unet", unet_mod.trace_training_step(ucfg)),
         ("bottleneck", bottleneck.trace_forward(bcfg)),
         # The microbatched loop stack: chains here draw PIPELINE actions
-        # (and tilings that cross the loop boundary), so the differential
-        # engine's loop segments see pipelining mid-trajectory.
+        # (and tilings that cross the loop boundary), so the incremental
+        # estimator's loop segments see pipelining mid-trajectory.
         ("pipeline", pipeline_mod.trace_pipeline_transformer(
             pipeline_mod.tiny())),
     ]
@@ -82,7 +85,7 @@ def test_differential_streaming_materialized_field_exact(case, seed):
     env = ShardingEnv(MESH)
     propagate(function, env)
     env.enable_journal()
-    differential = costmodel.StreamingEstimator(function, MESH, TPU_V3)
+    incremental = costmodel.StreamingEstimator(function, MESH, TPU_V3)
     streaming = costmodel.StreamingEstimator(function, MESH, TPU_V3)
     candidates = candidate_actions(function, env, ["batch", "model"], 6)
     if not candidates:
@@ -101,7 +104,7 @@ def test_differential_streaming_materialized_field_exact(case, seed):
             try_apply_action(function, env, rng.choice(candidates))
             propagate(function, env, incremental=True)
             tokens.append(token)
-        fast = differential.estimate_incremental(env, env.drain_journal())
+        fast = incremental.estimate_incremental(env, env.drain_journal())
         streamed = streaming.estimate(env)
         materialized = _materialized(function, env)
         for field in _FIELDS:
@@ -110,3 +113,61 @@ def test_differential_streaming_materialized_field_exact(case, seed):
             assert value == getattr(materialized, field), (step, field)
         # Field-exact implies dict-exact (collective breakdown included).
         assert dataclasses.asdict(fast) == dataclasses.asdict(streamed), step
+
+
+def test_cost_acc_rounds_once_correctly():
+    """Each total is the correctly rounded sum of its terms, in any order
+    — not the left-to-right float sum, which loses the small terms to
+    cancellation."""
+    terms = [1e100, 1.0, -1e100, 0.1, 0.2, 0.3]
+    exact = float(sum(Fraction(t) for t in terms))
+    naive = 0.0
+    for term in terms:
+        naive += term
+    assert naive != exact
+    for order in (terms, terms[::-1]):
+        acc = costmodel._CostAcc(1.0)
+        for term in order:
+            acc.add_op_cost(term)
+            acc.add_coll_cost("all_reduce", term, term)
+        acc.apply([("co", "all_gather", term) for term in order])
+        est = acc.estimate()
+        for value in (est.local_flops, est.compute_s, est.comm_bytes,
+                      est.comm_s, est.collective_time_s["all_reduce"],
+                      est.collective_time_s["all_gather"]):
+            assert value == exact == math.fsum(terms)
+
+
+def test_whole_state_memo_hands_out_fresh_copies():
+    """Mutating a returned estimate must not leak into the memo: revisiting
+    the same env state still equals the materialized oracle."""
+    _, traced = CASES[0]
+    function = traced.function
+    env = ShardingEnv(MESH)
+    propagate(function, env)
+    env.enable_journal()
+    estimator = costmodel.StreamingEstimator(function, MESH, TPU_V3)
+    candidates = candidate_actions(function, env, ["batch", "model"], 6)
+    token = env.checkpoint()
+    try_apply_action(function, env, candidates[0])
+    propagate(function, env, incremental=True)
+    oracle = _materialized(function, env)
+
+    def vandalize(estimate):
+        estimate.merge_scaled(estimate, 3.0)
+        for key in estimate.collective_time_s:
+            estimate.collective_time_s[key] = -1.0
+        estimate.collective_time_s["bogus"] = 1.0
+
+    vandalize(estimator.estimate_incremental(env, env.drain_journal()))
+    # Same state again (nothing moved), then away and back via rollback.
+    vandalize(estimator.estimate_incremental(env, env.drain_journal()))
+    inner = env.checkpoint()
+    try_apply_action(function, env, candidates[1])
+    propagate(function, env, incremental=True)
+    estimator.estimate_incremental(env, env.drain_journal())
+    env.rollback(inner)
+    revisit = estimator.estimate_incremental(env, env.drain_journal())
+    for field in _FIELDS:
+        assert getattr(revisit, field) == getattr(oracle, field), field
+    env.rollback(token)

@@ -324,7 +324,8 @@ class TestCrossBackendPins:
 
 
 class TestEstimatePathIdentity:
-    """Three estimate paths bit-identical on pipelined programs."""
+    """Materialized == streaming == incremental replay, bit-identical on
+    pipelined programs."""
 
     @pytest.mark.parametrize("tracer", [
         pm.trace_pipeline_transformer, pm.trace_pipeline_moe,
@@ -335,11 +336,11 @@ class TestEstimatePathIdentity:
         env = ShardingEnv(mesh)
         propagate(fn, env)
         env.enable_journal()
-        differential = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
+        incremental = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
         streaming = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
         for tactic in (sched.pp("stage"), mp_tactic("model")):
             tactic.apply(fn, env, incremental=True)
-            fast = differential.estimate_incremental(
+            fast = incremental.estimate_incremental(
                 env, env.drain_journal()
             )
             streamed = streaming.estimate(env)

@@ -2,7 +2,8 @@
 Appendix C theorem — for random programs and random schedules, the lowered
 SPMD program run on the simulated mesh equals the unpartitioned reference.
 Loop programs extend the property with random PIPELINE actions, and pin the
-materializing / streaming / differential estimates field-exact along the way.
+materializing / streaming / incremental-replay estimates field-exact along
+the way.
 """
 
 import dataclasses
@@ -149,13 +150,13 @@ def random_loop_program(draw):
 @settings(max_examples=25, deadline=None)
 def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
     """Random loop programs under random tile+pipeline schedules: the
-    partitioned run equals the reference, and the three estimate paths
-    (materializing, streaming, differential) stay field-exact."""
+    partitioned run equals the reference, and the materializing and
+    streaming estimates and the incremental replay stay field-exact."""
     function, tiles, pipeline = program
     mesh = Mesh({"a": 2, "b": 2})
     env = ShardingEnv(mesh)
     env.enable_journal()
-    differential = costmodel.StreamingEstimator(function, mesh, TPU_V3)
+    incremental = costmodel.StreamingEstimator(function, mesh, TPU_V3)
     streaming = costmodel.StreamingEstimator(function, mesh, TPU_V3)
     if pipeline is not None:
         axis, schedule = pipeline
@@ -169,7 +170,7 @@ def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
             continue
         propagate(function, env)
     propagate(function, env)
-    fast = differential.estimate_incremental(env, env.drain_journal())
+    fast = incremental.estimate_incremental(env, env.drain_journal())
     streamed = streaming.estimate(env)
     lowered = lower(function, env)
     lowered = dataclasses.replace(
